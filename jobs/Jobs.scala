@@ -111,7 +111,8 @@ object ProcessRecipe {
     val input  = repro.core.Formatters.JsonlFormatter(args(1)).load(s)
     val out    = recipe.pipeline(fuse = true, reorder = true).run(input)
     out.write.mode("overwrite").parquet(args(2))
-    println(s"wrote ${out.count()} samples to ${args(2)}")
+    // Count the written output: counting `out` would run the pipeline again.
+    println(s"wrote ${s.read.parquet(args(2)).count()} samples to ${args(2)}")
     s.stop()
   }
 }

@@ -6,7 +6,10 @@ import java.util.regex.Pattern
 /** The Mapper pool: single-sample in-place text editing OPs (paper Table 1,
   * "Transform specified headers, textual elements; fix messy codes; enable
   * text enhancement"). All are pure, deterministic `String => String`
-  * functions lifted to DataFrames by the [[Mapper]] base class.
+  * functions run by [[RowProgram]]. Regexes are compiled once per OP
+  * instance, since `String.replaceAll`/`matches` compile the pattern on every
+  * call. They are body members, so case-class `toString` (and with it
+  * `Op.signature` and cache keys) does not change.
   */
 object Mappers {
 
@@ -15,13 +18,15 @@ object Mappers {
     */
   final case class WhitespaceNormalizationMapper() extends Mapper {
     val name = "whitespace_normalization_mapper"
-    private val unicodeSpaces = "[\\u00A0\\u1680\\u2000-\\u200B\\u202F\\u205F\\u3000\\uFEFF]"
-    def mapText(text: String): String =
-      text.replaceAll(unicodeSpaces, " ")
-        .split("\n", -1).map(_.replaceAll("[ \\t]+", " ").trim)
+    private val unicodeSpaces = Pattern.compile("[\\u00A0\\u1680\\u2000-\\u200B\\u202F\\u205F\\u3000\\uFEFF]")
+    private val blanks = Pattern.compile("[ \\t]+")
+    private val blankLines = Pattern.compile("\n{3,}")
+    def mapText(text: String): String = {
+      val lines = unicodeSpaces.matcher(text).replaceAll(" ")
+        .split("\n", -1).map(l => blanks.matcher(l).replaceAll(" ").trim)
         .mkString("\n")
-        .replaceAll("\n{3,}", "\n\n")
-        .trim
+      blankLines.matcher(lines).replaceAll("\n\n").trim
+    }
   }
 
   /** Fix messy codes: NFC-normalize, drop control chars (except \n\t), strip
@@ -29,44 +34,46 @@ object Mappers {
     */
   final case class FixUnicodeMapper() extends Mapper {
     val name = "fix_unicode_mapper"
+    private val controls = Pattern.compile("[\\p{Cntrl}&&[^\n\t]]")
+    private val apostrophe = Pattern.compile("â€™")
+    private val quotes = Pattern.compile("â€œ|â€")
     def mapText(text: String): String = {
       val nfc = Normalizer.normalize(text, Normalizer.Form.NFC)
-      nfc.replace("�", "")
-        .replaceAll("[\\p{Cntrl}&&[^\n\t]]", "")
-        .replaceAll("â€™", "'").replaceAll("â€œ|â€", "\"")
+      val clean = controls.matcher(nfc.replace("�", "")).replaceAll("")
+      quotes.matcher(apostrophe.matcher(clean).replaceAll("'")).replaceAll("\"")
     }
   }
 
   /** Remove e-mail addresses (PII scrubbing for pre-training corpora). */
   final case class RemoveEmailsMapper(replacement: String = "") extends Mapper {
     val name = "remove_emails_mapper"
-    private val re = "[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\.[A-Za-z]{2,}"
-    def mapText(text: String): String = text.replaceAll(re, replacement)
+    private val re = Pattern.compile("[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\.[A-Za-z]{2,}")
+    def mapText(text: String): String = re.matcher(text).replaceAll(replacement)
   }
 
   /** Remove IPv4 addresses (PII scrubbing). */
   final case class RemoveIpAddressesMapper(replacement: String = "") extends Mapper {
     val name = "remove_ip_addresses_mapper"
-    private val re = "\\b(?:(?:25[0-5]|2[0-4]\\d|1?\\d?\\d)\\.){3}(?:25[0-5]|2[0-4]\\d|1?\\d?\\d)\\b"
-    def mapText(text: String): String = text.replaceAll(re, replacement)
+    private val re = Pattern.compile("\\b(?:(?:25[0-5]|2[0-4]\\d|1?\\d?\\d)\\.){3}(?:25[0-5]|2[0-4]\\d|1?\\d?\\d)\\b")
+    def mapText(text: String): String = re.matcher(text).replaceAll(replacement)
   }
 
   /** Remove http(s)/ftp/www links (web-scrape debris). */
   final case class RemoveLinksMapper(replacement: String = "") extends Mapper {
     val name = "remove_links_mapper"
-    private val re = "(?i)\\b(?:https?://|ftp://|www\\.)[^\\s<>\"]+"
-    def mapText(text: String): String = text.replaceAll(re, replacement)
+    private val re = Pattern.compile("(?i)\\b(?:https?://|ftp://|www\\.)[^\\s<>\"]+")
+    def mapText(text: String): String = re.matcher(text).replaceAll(replacement)
   }
 
   /** Strip HTML/XML tags and decode the common entities. */
   final case class RemoveHtmlTagsMapper() extends Mapper {
     val name = "remove_html_tags_mapper"
+    private val rewrites: Seq[(Pattern, String)] = Seq(
+      "(?s)<(script|style)[^>]*>.*?</\\1>" -> " ", "<[^>]{0,500}>" -> " ",
+      "&nbsp;" -> " ", "&amp;" -> "&", "&lt;" -> "<", "&gt;" -> ">", "&quot;" -> "\"", "&#\\d+;" -> "",
+    ).map { case (re, to) => Pattern.compile(re) -> to }
     def mapText(text: String): String =
-      text.replaceAll("(?s)<(script|style)[^>]*>.*?</\\1>", " ")
-        .replaceAll("<[^>]{0,500}>", " ")
-        .replaceAll("&nbsp;", " ").replaceAll("&amp;", "&")
-        .replaceAll("&lt;", "<").replaceAll("&gt;", ">")
-        .replaceAll("&quot;", "\"").replaceAll("&#\\d+;", "")
+      rewrites.foldLeft(text) { case (t, (re, to)) => re.matcher(t).replaceAll(to) }
   }
 
   /** Normalize unicode punctuation to its ASCII counterpart. */
@@ -100,11 +107,14 @@ object Mappers {
   /** Drop words longer than `maxLen` (URLs-glued-together, base64 debris). */
   final case class RemoveLongWordsMapper(maxLen: Int = 40) extends Mapper {
     val name = "remove_long_words_mapper"
-    def mapText(text: String): String =
-      text.split("(?<= )|(?=\\s)").filter { tok =>
+    private val boundary = Pattern.compile("(?<= )|(?=\\s)")
+    private val spaces = Pattern.compile("[ ]{2,}")
+    def mapText(text: String): String = {
+      val kept = boundary.split(text).filter { tok =>
         tok.isEmpty || tok.forall(Character.isWhitespace) || tok.trim.length <= maxLen
       }.mkString("")
-        .replaceAll("[ ]{2,}", " ")
+      spaces.matcher(kept).replaceAll(" ")
+    }
   }
 
   /** Remove lines that match any header pattern (LaTeX preamble, markdown
@@ -142,9 +152,10 @@ object Mappers {
   /** Drop table-ish lines: pipe-heavy rows or multi-column runs of spaces. */
   final case class RemoveTableTextMapper(minPipes: Int = 2) extends Mapper {
     val name = "remove_table_text_mapper"
+    private val columns = Pattern.compile(".*\\S(\\s{3,}\\S+){3,}.*")
     def mapText(text: String): String =
       text.split("\n", -1).filterNot { l =>
-        l.count(_ == '|') >= minPipes || l.matches(".*\\S(\\s{3,}\\S+){3,}.*")
+        l.count(_ == '|') >= minPipes || columns.matcher(l).matches()
       }.mkString("\n")
   }
 
@@ -153,17 +164,19 @@ object Mappers {
     */
   final case class CleanCopyrightMapper() extends Mapper {
     val name = "clean_copyright_mapper"
+    private val blockNotice = Pattern.compile("(?s).*(copyright|license).*")
+    private val lineNotice = Pattern.compile(".*(copyright|license|all rights reserved).*")
     def mapText(text: String): String = {
       val noBlock =
         if (text.startsWith("/*")) {
           val end = text.indexOf("*/")
-          if (end >= 0 && text.substring(0, end).toLowerCase.matches("(?s).*(copyright|license).*"))
+          if (end >= 0 && blockNotice.matcher(text.substring(0, end).toLowerCase).matches())
             text.substring(end + 2).dropWhile(_ == '\n')
           else text
         } else text
       val lines = noBlock.split("\n", -1)
       val (head, tail) = lines.span(l => l.trim.startsWith("//") || l.trim.startsWith("#"))
-      val keptHead = head.filterNot(_.toLowerCase.matches(".*(copyright|license|all rights reserved).*"))
+      val keptHead = head.filterNot(l => lineNotice.matcher(l.toLowerCase).matches())
       (keptHead ++ tail).mkString("\n")
     }
   }
@@ -204,8 +217,8 @@ object Mappers {
     */
   final case class SentenceSplitMapper() extends Mapper {
     val name = "sentence_split_mapper"
-    def mapText(text: String): String =
-      text.replaceAll("([.!?。])\\s+", "$1\n")
+    private val boundary = Pattern.compile("([.!?。])\\s+")
+    def mapText(text: String): String = boundary.matcher(text).replaceAll("$1\n")
   }
 
   /** All built-in mappers with default parameters, registry order. */

@@ -16,9 +16,12 @@ import org.apache.spark.sql.functions.{col, udf}
   *                      (`computeHash`) decoupled from removal (`process`).
   *
   * Every OP exposes a row-level pure function alongside its DataFrame form.
-  * The DataFrame form is what [[Pipeline]] executes; the row-level form is
-  * reused by the distributed-runtime simulator (`repro.dist`) and by
-  * reference-equivalence tests.
+  * [[Pipeline]] runs the row-level forms: each maximal run of Mappers,
+  * Filters and MetaFilters becomes one [[RowProgram]], and the `apply` of a
+  * single row OP is its one-OP program. The distributed-runtime simulator
+  * (`repro.dist`) and the reference-equivalence tests call the row-level
+  * forms directly. `Filter.computeStats`/`process` stay DataFrame lifts for
+  * the Analyzer's decoupled stats path.
   */
 sealed trait Op extends Serializable {
   /** snake_case registry name, e.g. `text_length_filter`. */
@@ -45,10 +48,7 @@ trait Mapper extends Op {
   /** Row-level edit; must accept any string including empty. */
   def mapText(text: String): String
 
-  override def apply(df: DataFrame): DataFrame = {
-    val f = udf((t: String) => mapText(if (t == null) "" else t))
-    df.withColumn(Schema.Text, f(col(Schema.Text)))
-  }
+  override def apply(df: DataFrame): DataFrame = RowProgram(Seq(this)).run(df)
 }
 
 /** Conditional sample removal (paper: "Filters", Listing 1).
@@ -90,7 +90,7 @@ trait Filter extends Op {
     df.filter(f(col(Schema.Stats)))
   }
 
-  override def apply(df: DataFrame): DataFrame = process(computeStats(df))
+  override def apply(df: DataFrame): DataFrame = RowProgram(Seq(this)).run(df)
 }
 
 /** Filters whose decision depends on `meta`, not text stats (e.g. language
@@ -98,10 +98,7 @@ trait Filter extends Op {
   */
 trait MetaFilter extends Op {
   def keepMeta(meta: Map[String, String]): Boolean
-  override def apply(df: DataFrame): DataFrame = {
-    val f = udf((m: Map[String, String]) => keepMeta(if (m == null) Map.empty else m))
-    df.filter(f(col(Schema.Meta)))
-  }
+  override def apply(df: DataFrame): DataFrame = RowProgram(Seq(this)).run(df)
 }
 
 /** Dataset-level duplicate removal (paper: "Deduplicators", Listing 1). */

@@ -6,6 +6,11 @@ import org.apache.spark.sql.DataFrame
   * a unified dataset through an OP chain, optionally applying the OP-list
   * optimizer ([[OpFusion]]), sample-level tracing ([[Tracer]]), and per-OP
   * cache/checkpoint persistence ([[CacheManager]]) with hash-chain resume.
+  *
+  * Each maximal run of row OPs in the planned list executes as one
+  * [[RowProgram]]; Deduplicators stay DataFrame barriers. With a tracer or a
+  * cache manager every OP boundary is an observation or persistence point,
+  * so each row OP then runs as its own one-OP program.
   */
 final case class Pipeline(
     ops: Seq[Op],
@@ -29,9 +34,14 @@ final case class Pipeline(
   def run(input: DataFrame): DataFrame = {
     val df0 = Schema.ensure(input)
     cache match {
+      case None if tracer.isEmpty =>
+        RowProgram.segments(planned).foldLeft(df0) {
+          case (df, Seq(op)) => op(df) // a lone row OP's `apply` is its one-OP program
+          case (df, segment) => RowProgram(segment).run(df)
+        }
       case None =>
         planned.foldLeft(df0) { (df, op) =>
-          val out = applyOne(op, df)
+          val out = op(df)
           tracer.foreach(_.record(op, df, out))
           out
         }
@@ -48,7 +58,7 @@ final case class Pipeline(
         }
         var prevKey = keys(start)
         planned.drop(start).zipWithIndex.foreach { case (op, j) =>
-          val out = applyOne(op, df)
+          val out = op(df)
           tracer.foreach(_.record(op, df, out))
           val key = keys(start + j + 1)
           // The original dataset's cache (keys.head) is never evicted — the
@@ -59,8 +69,6 @@ final case class Pipeline(
         df
     }
   }
-
-  private def applyOne(op: Op, df: DataFrame): DataFrame = op(df)
 }
 
 object Pipeline {

@@ -5,30 +5,41 @@ import scala.jdk.CollectionConverters._
 
 /** Typed access into the loosely-typed parameter maps parsed from YAML
   * recipes (numbers arrive as java.lang.Integer/Double, lists as
-  * java.util.List, …).
+  * java.util.List, …). Records the keys it is asked for, so that a builder
+  * can be checked for parameters it never read (typos).
   */
 final case class OpParams(raw: Map[String, Any]) {
-  def int(key: String, default: Int): Int = raw.get(key).map {
+  private val asked = scala.collection.mutable.LinkedHashSet.empty[String]
+
+  /** Keys the builder asked for so far, in order. */
+  def read: Seq[String] = asked.toSeq
+
+  /** Keys of `raw` no accessor has read. */
+  def unread: Set[String] = raw.keySet -- asked
+
+  private def get(key: String): Option[Any] = { asked += key; raw.get(key) }
+
+  def int(key: String, default: Int): Int = get(key).map {
     case n: Number => n.intValue
     case s: String => s.toInt
     case other     => sys.error(s"param $key: expected int, got $other")
   }.getOrElse(default)
 
-  def long(key: String, default: Long): Long = raw.get(key).map {
+  def long(key: String, default: Long): Long = get(key).map {
     case n: Number => n.longValue
     case s: String => s.toLong
     case other     => sys.error(s"param $key: expected long, got $other")
   }.getOrElse(default)
 
-  def double(key: String, default: Double): Double = raw.get(key).map {
+  def double(key: String, default: Double): Double = get(key).map {
     case n: Number => n.doubleValue
     case s: String => s.toDouble
     case other     => sys.error(s"param $key: expected double, got $other")
   }.getOrElse(default)
 
-  def string(key: String, default: String): String = raw.get(key).map(_.toString).getOrElse(default)
+  def string(key: String, default: String): String = get(key).map(_.toString).getOrElse(default)
 
-  def strings(key: String, default: Seq[String]): Seq[String] = raw.get(key).map {
+  def strings(key: String, default: Seq[String]): Seq[String] = get(key).map {
     case l: java.util.List[_] => l.asScala.map(_.toString).toSeq
     case l: Seq[_]            => l.map(_.toString)
     case s: String            => s.split(",").map(_.trim).toSeq
@@ -118,9 +129,18 @@ object OpRegistry {
     spec("simhash_deduplicator", "deduplicator", Seq("general"))(p => SimHashDeduplicator(p.int("hamming_max", 3))),
   )
 
-  def build(name: String, params: Map[String, Any]): Op =
-    specs.getOrElse(name, sys.error(s"unknown OP '$name'; known: ${specs.keys.toSeq.sorted.mkString(", ")}"))
-      .build(OpParams(params))
+  /** Build an OP; an unknown OP name or a parameter the OP does not read is
+    * an error (typos must not silently run with defaults).
+    */
+  def build(name: String, params: Map[String, Any]): Op = {
+    val spec = specs.getOrElse(name,
+      throw new IllegalArgumentException(s"unknown OP '$name'; known: ${specs.keys.toSeq.sorted.mkString(", ")}"))
+    val p = OpParams(params)
+    val op = spec.build(p)
+    require(p.unread.isEmpty,
+      s"unknown parameter(s) ${p.unread.toSeq.sorted.mkString(", ")} for OP '$name'; known: ${p.read.mkString(", ")}")
+    op
+  }
 
   def size: Int = specs.size
 }
@@ -146,8 +166,8 @@ final case class Recipe(name: String, opSpecs: Seq[(String, Map[String, Any])]) 
                tracer: Option[Tracer] = None, cache: Option[CacheManager] = None): Pipeline =
     Pipeline(ops, fuse, reorder, tracer, cache, inputId = name)
 
-  /** Apply `opName.param=value` overrides; unknown OP names are an error
-    * (typos must not silently no-op).
+  /** Apply `opName.param=value` overrides; unknown OP names and parameters
+    * are an error (typos must not silently no-op).
     */
   def withOverrides(overrides: Seq[String]): Recipe = {
     val parsed = overrides.map { o =>
@@ -162,17 +182,21 @@ final case class Recipe(name: String, opSpecs: Seq[(String, Map[String, Any])]) 
       val mine = parsed.filter(_._1 == n)
       n -> mine.foldLeft(params) { case (ps, (_, k, v)) => ps + (k -> v) }
     }
-    copy(opSpecs = newSpecs)
+    copy(opSpecs = newSpecs).validated
+  }
+
+  /** Build every OP once so bad names and parameters fail now, not at run time. */
+  private def validated: Recipe = {
+    opSpecs.foreach { case (n, p) => OpRegistry.build(n, p) }
+    this
   }
 
   /** Drop an OP ("subtraction" recipe editing). */
   def without(opName: String): Recipe = copy(opSpecs = opSpecs.filterNot(_._1 == opName))
 
   /** Append an OP ("addition" recipe editing). */
-  def add(opName: String, params: Map[String, Any] = Map.empty): Recipe = {
-    require(OpRegistry.specs.contains(opName), s"unknown OP '$opName'")
-    copy(opSpecs = opSpecs :+ (opName -> params))
-  }
+  def add(opName: String, params: Map[String, Any] = Map.empty): Recipe =
+    copy(opSpecs = opSpecs :+ (opName -> params)).validated
 }
 
 object Recipe {
@@ -195,9 +219,8 @@ object Recipe {
         opName -> ps
       case other => sys.error(s"bad ops entry: $other")
     }
-    // Fail fast on unknown OPs at parse time, not first run.
-    ops.foreach { case (n, _) => require(OpRegistry.specs.contains(n), s"unknown OP '$n'") }
-    Recipe(name, ops)
+    // Fail fast on unknown OPs and parameters at parse time, not first run.
+    Recipe(name, ops).validated
   }
 
   def fromFile(path: String): Recipe =

@@ -24,12 +24,52 @@ import repro.core._
   */
 object DistExecutor {
 
-  /** A simulated input line: serialized sample that must be parsed. */
-  final case class Doc(id: Long, text: String, meta: Map[String, String])
+  /** A simulated input line: serialized sample that must be parsed. `stats`
+    * holds what [[applyRow]]'s filters computed; it is not serialized.
+    */
+  final case class Doc(id: Long, text: String, meta: Map[String, String],
+                       stats: Map[String, Double] = Map.empty)
+
+  private val FieldSep = '\u0001'
+  private val MetaSep  = '\u0002'
+
+  /** Backslash-escape `\`, newlines, both separators and `=` (the meta
+    * key/value separator), so any text or meta value survives a round trip.
+    */
+  private def escape(s: String): String = {
+    val sb = new java.lang.StringBuilder(s.length + 16)
+    s.foreach {
+      case '\\' => sb.append("\\\\")
+      case '\n' => sb.append("\\n")
+      case c if c == FieldSep || c == MetaSep || c == '=' => sb.append(f"\\u${c.toInt}%04x")
+      case c => sb.append(c)
+    }
+    sb.toString
+  }
+
+  private def unescape(s: String): String =
+    if (s.indexOf('\\') < 0) s
+    else {
+      val sb = new java.lang.StringBuilder(s.length)
+      var i = 0
+      while (i < s.length) {
+        val c = s.charAt(i)
+        if (c != '\\' || i + 1 == s.length) { sb.append(c); i += 1 }
+        else s.charAt(i + 1) match {
+          case 'n' => sb.append('\n'); i += 2
+          case 'u' => sb.append(Integer.parseInt(s.substring(i + 2, i + 6), 16).toChar); i += 6
+          case e   => sb.append(e); i += 2
+        }
+      }
+      sb.toString
+    }
 
   /** Serialize docs into jsonl-ish lines (the stored dataset). */
   def serialize(docs: Seq[Doc]): Vector[String] =
-    docs.map(d => s"${d.id}${d.meta.map { case (k, v) => s"$k=$v" }.mkString("")}${d.text.replace("\n", "\\n")}").toVector
+    docs.map { d =>
+      val meta = d.meta.map { case (k, v) => s"${escape(k)}=${escape(v)}" }.mkString(MetaSep.toString)
+      s"${d.id}$FieldSep$meta$FieldSep${escape(d.text)}"
+    }.toVector
 
   /** Parse one stored line back into a Doc — does the real work a source connector
     * does (field splitting, meta reconstruction, escape handling, unicode
@@ -37,31 +77,34 @@ object DistExecutor {
     * stage dominated Beam's runtime at 65-140GB scale.
     */
   def parse(line: String): Doc = {
-    val parts = line.split("", 3)
-    val meta = parts(1).split("").filter(_.nonEmpty).map { kv =>
-      val i = kv.indexOf('='); kv.substring(0, i) -> kv.substring(i + 1)
+    val parts = line.split(FieldSep.toString, 3)
+    val meta = parts(1).split(MetaSep.toString).filter(_.nonEmpty).map { kv =>
+      val i = kv.indexOf('='); unescape(kv.substring(0, i)) -> unescape(kv.substring(i + 1))
     }.toMap
-    val text = java.text.Normalizer.normalize(parts(2).replace("\\n", "\n"),
-      java.text.Normalizer.Form.NFC)
+    val text = java.text.Normalizer.normalize(unescape(parts(2)), java.text.Normalizer.Form.NFC)
     Doc(parts(0).toLong, text, meta)
   }
 
-  /** Apply the row-level pipeline to one doc; None = filtered out. */
+  /** Apply the row-level pipeline to one doc; None = filtered out. This is
+    * the independent row reference the Spark path is checked against: every
+    * filter recomputes its stats, mappers and contexts see `""` for a null
+    * text, and the filters' stats are returned on the doc.
+    */
   def applyRow(ops: Seq[Op], doc: Doc): Option[Doc] = {
     var text = doc.text
     var keep = true
-    var stats = Map.empty[String, Double]
+    var stats = doc.stats
     ops.foreach {
-      case m: Mapper if keep => text = m.mapText(text)
+      case m: Mapper if keep => text = m.mapText(if (text == null) "" else text)
       case f: Filter if keep =>
-        val ctx = new TextContext(text)
+        val ctx = new TextContext(if (text == null) "" else text)
         stats = stats ++ f.computeStatsRow(ctx)
         keep = f.keepRow(stats)
       case mf: MetaFilter if keep => keep = mf.keepMeta(doc.meta)
       case _: Deduplicator => () // handled globally after the parallel phase
       case _ => ()
     }
-    if (keep) Some(doc.copy(text = text)) else None
+    if (keep) Some(doc.copy(text = text, stats = stats)) else None
   }
 
   /** Global exact-dedup resolution, keep-first by id (the shuffle analog). */

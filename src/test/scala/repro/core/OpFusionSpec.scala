@@ -1,8 +1,21 @@
 package repro.core
 
+import java.util.concurrent.atomic.AtomicLong
 import repro.{SparkSpec, TestData}
 import repro.core.Filters._
 import repro.core.Mappers._
+
+/** Identity mapper that counts its `mapText` calls (local mode: the tasks run
+  * in the test JVM, so the static counter sees them).
+  */
+final case class CountingMapper() extends Mapper {
+  val name = "counting_mapper"
+  def mapText(text: String): String = { CountingMapper.calls.incrementAndGet(); text }
+}
+
+object CountingMapper {
+  val calls = new AtomicLong(0L)
+}
 
 class OpFusionSpec extends SparkSpec with TestData {
 
@@ -82,6 +95,34 @@ class OpFusionSpec extends SparkSpec with TestData {
     val a = Pipeline(ops).run(df)
     val b = Pipeline(ops, reorder = true).run(df)
     assert(ids(a) == ids(b))
+  }
+
+  test("a mapper runs once per row in a mapper→8-filter segment") {
+    val docs = (0 until 40).map(i =>
+      if (i % 4 == 0) s"short $i" else s"the document number $i is a plain sentence with the usual words in it")
+    val filters = repro.exp.Recipes.fusion14.ops.collect { case f: Filter => f }
+    assert(filters.size == 8)
+    CountingMapper.calls.set(0L)
+    // Checkpointed, like a file source: over a local relation the optimizer
+    // evaluates projections eagerly, once per row, which would hide duplication.
+    val df = docsDf(docs: _*).localCheckpoint(true)
+    val kept = Pipeline(CountingMapper() +: filters).run(df).count()
+    assert(kept > 0 && kept < docs.size)
+    assert(CountingMapper.calls.get() == docs.size, s"${CountingMapper.calls.get()} mapText calls for ${docs.size} rows")
+  }
+
+  test("fused dj-pretrain makes exactly one tokenizer call per input row") {
+    // Long, plain English: every row passes the cheap filters that the
+    // planner puts ahead of the fused Words group, so each row reaches it.
+    val docs = (0 until 48).map(i =>
+      s"Sample $i is a plain paragraph of English text. It has the words that a quality filter " +
+        s"expects to see, and it is long enough to pass the length check, with number $i in it.")
+    val df = docsDf(docs: _*).localCheckpoint(true)
+    Tokenizers.wordCalls.set(0L)
+    val kept = repro.exp.Recipes.djPretrain.pipeline(fuse = true, reorder = true).run(df).count()
+    assert(kept > 0)
+    assert(Tokenizers.wordCalls.get().toDouble / docs.size == 1.0,
+      s"${Tokenizers.wordCalls.get()} tokenizer calls for ${docs.size} rows")
   }
 
   private def Recipes14(): Seq[Op] = Seq(

@@ -1,22 +1,52 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.scalacheck.{Gen, Prop, Test => SCTest}
-import org.scalatest.funsuite.AnyFunSuite
+import org.scalacheck.rng.Seed
+import repro.{SparkSpec, TestData}
+import repro.dist.DistExecutor
 
 /** Property tests over row-level OP semantics (raw ScalaCheck; the
   * scalatest/scalacheck bridge artifact is not available offline).
   */
-class PropertySpec extends AnyFunSuite {
+class PropertySpec extends SparkSpec with TestData {
 
   private val textGen: Gen[String] = Gen.listOf(Gen.oneOf(
     Gen.alphaNumStr.map(_.take(8)), Gen.const(" "), Gen.const("\n"),
     Gen.oneOf("the", "and", "of", "中", "!", ".", "damn"),
   )).map(_.mkString(" ")).map(_.take(2000))
 
-  private def check(name: String, p: Prop): Unit = {
-    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(60), p)
+  private def check(name: String, p: Prop, n: Int = 60): Unit = {
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(n), p)
     assert(res.passed, s"$name: ${res.status}")
   }
+
+  /** Null, empty, control characters, CJK and a 1 MB document. */
+  private val hostile: Seq[String] = Seq(
+    null, "", "\u0000\u0001\u0002 bell\u0007 esc\u001b[0m\r\n\t tab\u0085 line\u2028 end",
+    "中文文本的测试，没有空格。第二句话！  混合 English words 和 中文。",
+    "the quick brown fox jumps over the lazy dog and runs back home.\n" * 16500,
+  )
+
+  private val metas: Seq[Map[String, String]] = Seq(
+    Map.empty, Map("language" -> "EN", "stars" -> "12", "suffix" -> ".py"), Map("language" -> "ZH", "stars" -> "x"))
+
+  private val metaFilters: Seq[Op] = Seq(
+    Filters.MetaFieldFilter("language", Seq("EN")), Filters.StarsCountFilter(5), Filters.SuffixFilter())
+
+  /** Row-OP lists: distinct filters (so no two share a stats key), mappers
+    * and meta filters interleaved, then optionally fused and reordered.
+    */
+  private val opListGen: Gen[Seq[Op]] = for {
+    mappers <- Gen.choose(0, 4).flatMap(Gen.pick(_, Mappers.all))
+    filters <- Gen.choose(1, 5).flatMap(Gen.pick(_, Filters.allStats ++ metaFilters))
+    seed    <- Gen.long
+    fuse    <- Gen.oneOf(true, false)
+    reorder <- Gen.oneOf(true, false)
+  } yield OpFusion.plan(new scala.util.Random(seed).shuffle(mappers.toSeq ++ filters.toSeq), fuse, reorder)
+
+  private val docGen: Gen[(String, Map[String, String])] =
+    Gen.zip(Gen.frequency(1 -> Gen.oneOf(hostile), 3 -> textGen), Gen.oneOf(metas))
 
   test("whitespace normalization is idempotent") {
     val m = Mappers.WhitespaceNormalizationMapper()
@@ -90,6 +120,38 @@ class PropertySpec extends AnyFunSuite {
       val s2 = Hashing.minhash(tokens.toArray, 64, 3, 7)
       s1.length == 64 && s1.toSeq == s2.toSeq
     })
+  }
+
+  test("a row program equals a fold of one-OP programs and DistExecutor.applyRow") {
+    check("row-program", Prop.forAll(opListGen, docGen) { case (ops, (text, meta)) =>
+      val whole = RowProgram(ops)(text, meta, Map.empty)
+      val folded = ops.foldLeft(Option((text, Map.empty[String, Double]))) { (acc, op) =>
+        acc.flatMap { case (t, s) => RowProgram(Seq(op))(t, meta, s) }
+      }
+      val reference = DistExecutor.applyRow(ops, DistExecutor.Doc(0L, text, meta)).map(d => (d.text, d.stats))
+      whole == folded && whole == reference
+    }, n = 200)
+  }
+
+  test("Spark segment path, one-OP fold and applyRow agree on hostile text") {
+    val docs = hostile.zipWithIndex.map { case (t, i) => (t, metas(i % metas.size)) } ++
+      (0 until 24).map(i => (textGen.pureApply(Gen.Parameters.default, Seed(i.toLong)), metas(i % metas.size)))
+    val df = docsWithMeta(docs: _*).localCheckpoint(true)
+    def rows(out: DataFrame): Seq[(Long, String, Map[String, Double])] =
+      out.select(Schema.Id, Schema.Text, Schema.Stats).collect()
+        .map(r => (r.getLong(0), r.getString(1), r.getMap[String, Double](2).toMap)).sortBy(_._1).toSeq
+    var survivors = 0
+    (0 until 12).foreach { i =>
+      val ops = opListGen.pureApply(Gen.Parameters.default, Seed(1000L + i))
+      val reference = docs.zipWithIndex.flatMap { case ((t, m), id) =>
+        DistExecutor.applyRow(ops, DistExecutor.Doc(id.toLong, t, m)).map(d => (d.id, d.text, d.stats))
+      }
+      val label = ops.map(_.name).mkString(" → ")
+      assert(rows(Pipeline(ops).run(df)) == reference, s"segment path: $label")
+      assert(rows(ops.foldLeft(df)((d, op) => op(d))) == reference, s"one-OP fold: $label")
+      survivors += reference.size
+    }
+    assert(survivors > 0)
   }
 
   test("dist row pipeline composes like manual application") {

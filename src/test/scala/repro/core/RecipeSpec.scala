@@ -56,6 +56,23 @@ class RecipeSpec extends SparkSpec with TestData {
     assert(f.minLen == 9 && f.maxLen == 100)
   }
 
+  test("yaml with an unknown op parameter fails at parse time") {
+    val bad = "name: x\nops:\n  - text_length_filter: {min_lenn: 30}\n"
+    val e = intercept[IllegalArgumentException](Recipe.fromYaml(bad))
+    assert(e.getMessage.contains("min_lenn"))
+  }
+
+  test("override of an unknown op parameter is an error") {
+    assertThrows[IllegalArgumentException](
+      Recipe.fromYaml(yaml).withOverrides(Seq("text_length_filter.min_lenn=9")))
+  }
+
+  test("registry build rejects parameters the op does not read") {
+    assertThrows[IllegalArgumentException](OpRegistry.build("lowercase_mapper", Map("max_len" -> 3)))
+    assertThrows[IllegalArgumentException](Recipe.fromYaml(yaml).add("word_count_filter", Map("min_word" -> 3)))
+    assert(OpRegistry.build("word_count_filter", Map("min_words" -> 3, "max_words" -> 9)).name == "word_count_filter")
+  }
+
   test("override of an op not in the recipe is an error") {
     assertThrows[IllegalArgumentException](
       Recipe.fromYaml(yaml).withOverrides(Seq("word_count_filter.min_words=2")))

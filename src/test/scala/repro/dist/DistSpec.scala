@@ -24,6 +24,13 @@ class DistSpec extends SparkSpec with TestData {
     assert(back.id == 7L && back.text == "line1\nline2" && back.meta == Map("a" -> "b", "c" -> "d"))
   }
 
+  test("serialize/parse round-trips separator, escape and '=' characters") {
+    val hostile = "a\u0001b\u0002c=d\\n is not a newline\\\u0001\n\\u0001 end\\"
+    val doc = Doc(9L, hostile, Map("k\u0001=" -> "v\u0002=\\", "plain" -> "x=y"))
+    val back = parse(serialize(Seq(doc)).head)
+    assert(back == doc)
+  }
+
   test("ray-like executor output equals the Spark pipeline output") {
     val lines = serialize(docs)
     val rayOut = RayLikeExecutor.run(lines, ops, nodes = 3).output
